@@ -14,7 +14,7 @@ The canonical way every scenario enters the codebase::
 device, physics, spectral grids, and sweeps as first-class axes, plus a
 registry of named scenario presets.  *Plan* (:mod:`repro.api.plan`) is
 the explicit compile step where the performance-engineering choices live:
-Table-1 validation, engine/decomposition/cache policy, Table-3 cost
+Table-1 validation, engine/runtime/cache policy, Table-3 cost
 estimates.  *Session* (:mod:`repro.api.session`) executes the plan with
 sweep-level reuse and deterministic resource lifetimes.
 """
@@ -25,7 +25,6 @@ from .plan import (
     PlanError,
     PlanGroup,
     STRUCTURAL_FIELDS,
-    choose_engine,
     choose_rgf_kernel,
     compile_workload,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "PlanError",
     "PlanGroup",
     "STRUCTURAL_FIELDS",
-    "choose_engine",
     "choose_rgf_kernel",
     "compile_workload",
     "Session",

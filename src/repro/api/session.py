@@ -8,12 +8,12 @@ planned workload and reuses it across sweep points:
 * each :class:`~repro.api.PlanGroup` gets one
   :class:`~repro.negf.SCBASimulation` — hence one
   :class:`~repro.negf.SpectralGrid` (with its memoized H(kz)/S(kz)/Φ(qz)
-  operator blocks), one execution engine (and its worker pool), and one
+  operator blocks), one execution engine, and one
   :class:`~repro.negf.BoundaryCache` — shared by every point of the
   group, because bias, temperature, and gate never touch the grid, the
   operators, or the lead self-energies;
-* worker pools are shut down deterministically on ``close()`` /
-  ``with``-exit instead of relying on GC/atexit.
+* distributed-runtime rank processes are shut down deterministically on
+  ``close()`` / ``with``-exit instead of relying on GC/atexit.
 
 Results come back as structured :class:`RunResult`/:class:`SweepResult`
 objects with JSON export built on :meth:`repro.negf.SCBAResult.to_dict`.
@@ -243,8 +243,8 @@ class Session:
         with Session(plan) as session:
             sweep = session.run()
 
-    The context manager guarantees worker pools (multiprocess engine) are
-    shut down on exit.  ``Session.from_workload`` compiles and opens in
+    The context manager guarantees distributed-runtime rank processes
+    are shut down on exit.  ``Session.from_workload`` compiles and opens in
     one step.
     """
 
@@ -268,7 +268,7 @@ class Session:
         return False
 
     def close(self) -> None:
-        """Shut down every engine (worker pools included), idempotently.
+        """Close every simulation (rank processes included), idempotently.
 
         The reuse counters are snapshotted first, so
         :meth:`reuse_counters` keeps reporting the session's accounting
@@ -458,13 +458,11 @@ class Session:
     def reuse_counters(self) -> Dict[str, int]:
         """Aggregated boundary-solve/hit and operator-assembly counters.
 
-        Boundary counters are exact for every backend (the multiprocess
-        engine routes all solves through the parent's shared cache, and
-        the distributed runtime sums its resident per-rank caches).  The
-        assembly counters cover the parent process only: multiprocess
-        pool workers and distributed rank workers additionally assemble
-        operators on their own grids, which the parent's
-        ``assembly_counts`` cannot observe.  After :meth:`close` the
+        Boundary counters are exact for every backend (the distributed
+        runtime sums its resident per-rank caches).  The assembly
+        counters cover the parent process only: distributed rank workers
+        additionally assemble operators on their own grids, which the
+        parent's ``assembly_counts`` cannot observe.  After :meth:`close` the
         counters frozen at shutdown are returned.
         """
         if self._final_counters is not None:

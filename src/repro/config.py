@@ -40,9 +40,8 @@ __all__ = [
 
 #: Execution backends of the spectral-grid engine (``repro.negf.engine``):
 #: ``serial`` is the per-point reference loop (bit-exactness oracle),
-#: ``batched`` solves stacked block-tridiagonal systems per momentum row,
-#: ``multiprocess`` fans the batched rows out over a process pool.
-EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched", "multiprocess")
+#: ``batched`` solves stacked block-tridiagonal systems per momentum row.
+EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched")
 
 
 def default_engine() -> str:

@@ -12,7 +12,6 @@ from .engine import (
     BatchedEngine,
     BoundaryCache,
     GridEngine,
-    MultiprocessEngine,
     SerialEngine,
     SpectralGrid,
     make_engine,
@@ -76,7 +75,6 @@ __all__ = [
     "BatchedEngine",
     "BoundaryCache",
     "GridEngine",
-    "MultiprocessEngine",
     "SerialEngine",
     "SpectralGrid",
     "make_engine",

@@ -9,15 +9,14 @@ paper's top-level SDFG (Fig. 6).
 
 The grid sweeps themselves are delegated to a pluggable spectral-grid
 execution engine (:mod:`repro.negf.engine`): ``serial`` (the per-point
-reference loop), ``batched`` (stacked tensor systems, the default), or
-``multiprocess`` (batched rows over a process pool), selected with
-:attr:`SCBASettings.engine`.  All backends memoize the iteration-invariant
-lead self-energies across Born iterations.
+reference loop) or ``batched`` (stacked tensor systems, the default),
+selected with :attr:`SCBASettings.engine`.  Both backends memoize the
+iteration-invariant lead self-energies across Born iterations.
 
 This module is the per-point executor; the public entry point for new
 scenarios is the :mod:`repro.api` facade (Workload → Plan → Session),
 which reuses the model, grid, and boundary cache across whole sweeps and
-owns engine lifetimes.  ``SCBASettings``/``SCBASimulation`` remain as
+owns runtime lifetimes.  ``SCBASettings``/``SCBASimulation`` remain as
 thin shims (see :meth:`SCBASimulation.from_workload`).
 
 Physical conventions (dimensionless units, ħ = e = 1):
@@ -93,9 +92,8 @@ class SCBASettings:
     #: ``REPRO_SDFG_BACKEND``)
     sse_backend: Optional[str] = None
     #: spectral-grid execution backend (see :mod:`repro.negf.engine`):
-    #: ``serial`` per-point oracle, ``batched`` stacked tensors,
-    #: ``multiprocess`` batched rows over a process pool
-    engine: Literal["serial", "batched", "multiprocess"] = field(
+    #: ``serial`` per-point oracle, ``batched`` stacked tensors
+    engine: Literal["serial", "batched"] = field(
         default_factory=default_engine
     )
     #: RGF kernel of the batched backends (see :mod:`repro.negf.kernels`):
@@ -110,8 +108,6 @@ class SCBASettings:
     #: memoize the assembled H(kz)/S(kz)/Φ(qz) operator blocks per
     #: momentum point; ``False`` restores per-solve reassembly
     cache_operators: bool = True
-    #: worker-pool size cap for the multiprocess engine (None: min(8, cores))
-    max_workers: Optional[int] = None
     #: SCBA execution runtime (see :mod:`repro.runtime`): ``serial`` is
     #: the in-process Born loop below; ``sim``/``pipe`` distribute it over
     #: ranks exchanging G≷/Π≷ through an SSE schedule (default follows
@@ -272,13 +268,12 @@ class SCBASimulation:
 
     # -- lifetime -----------------------------------------------------------------
     def close(self):
-        """Release engine resources (worker pools) deterministically.
+        """Release the distributed runtime's ranks deterministically.
 
-        The distributed runtime's per-rank boundary counters are
-        snapshotted first, so :meth:`boundary_counters` keeps reporting
-        them after the workers are gone.
+        The runtime's per-rank boundary counters are snapshotted first,
+        so :meth:`boundary_counters` keeps reporting them after the
+        workers are gone.
         """
-        self.engine.close()
         if self._runtime is not None:
             self._final_runtime_counters = self._runtime.boundary_counters()
             self._runtime.close()
@@ -331,7 +326,7 @@ class SCBASimulation:
     def boundary_counters(self) -> Dict[str, int]:
         """Boundary solve/hit counters across every execution path.
 
-        Serial/batched/multiprocess engines count in the in-process
+        Serial/batched engines count in the in-process
         :class:`~repro.negf.engine.BoundaryCache`; the distributed
         runtime additionally sums its per-rank caches.
         """

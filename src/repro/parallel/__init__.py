@@ -8,7 +8,6 @@ from .decomposition import (
 from .schedules import (
     DaceExchange,
     DistributedSSEResult,
-    LocalTransport,
     OmenExchange,
     RankSSEStore,
     dace_sse_phase,
@@ -23,7 +22,6 @@ __all__ = [
     "partition_spectral_grid",
     "DistributedSSEResult",
     "RankSSEStore",
-    "LocalTransport",
     "OmenExchange",
     "DaceExchange",
     "default_round_owner",

@@ -15,8 +15,9 @@ SCBA runtime (:mod:`repro.runtime`) run the exchange *inside* the Born
 loop, including the Π≷/D≷ feedback path: Π≷ rows are reduced to their
 (qz, ω) owners, which solve the phonon Green's functions feeding the next
 iteration's rounds.  The one-shot :func:`omen_sse_phase` /
-:func:`dace_sse_phase` entry points are thin wrappers instantiating the
-exchange over array-backed stores.
+:func:`dace_sse_phase` entry points run the same exchange over
+array-backed stores on an in-process
+:class:`~repro.runtime.transport.SimTransport`.
 
 **OMEN schedule** — ``Nqz*Nw`` rounds; in each round the phonon GF
 ``D≷(qz, ω)`` is broadcast from its owner, every rank receives the
@@ -50,7 +51,6 @@ from .simmpi import CommStats, SimComm
 __all__ = [
     "DistributedSSEResult",
     "RankSSEStore",
-    "LocalTransport",
     "OmenExchange",
     "DaceExchange",
     "default_round_owner",
@@ -417,36 +417,6 @@ class RankSSEStore:
             self.pi_raw[(q, w)] = (Pl, Pg)
 
 
-class LocalTransport:
-    """Minimal in-process transport: direct store calls + SimComm metering."""
-
-    def __init__(self, comm: SimComm, stores: Sequence[RankSSEStore]):
-        if len(stores) != comm.P:
-            raise ValueError("one store per communicator rank required")
-        self.comm = comm
-        self.stores = list(stores)
-
-    @property
-    def P(self) -> int:
-        return self.comm.P
-
-    @property
-    def stats(self) -> CommStats:
-        return self.comm.stats
-
-    def call(self, rank: int, method: str, *args):
-        return getattr(self.stores[rank], method)(*args)
-
-    def call_all(self, method: str, args_list):
-        return [
-            self.call(r, method, *args) for r, args in enumerate(args_list)
-        ]
-
-    def charge(self, src: int, dst: int, nbytes: int):
-        # one metering convention: telemetry.metrics.meter_transfer via SimComm
-        self.comm.charge(src, dst, int(nbytes))
-
-
 # --------------------------------------------------------------------------
 # OMEN schedule
 # --------------------------------------------------------------------------
@@ -719,7 +689,13 @@ def _one_shot(
             if owner_of(q, w) == r
         }
         stores.append(_ArrayStore(r, decomp, Gl, Gg, rows, dH, neigh, rev))
-    exchange.run_iteration(LocalTransport(comm, stores))
+    # function-local: repro.runtime imports this module
+    from ..runtime.transport import SimTransport
+
+    transport = SimTransport(P)
+    transport.comm = comm  # meter into the caller's communicator
+    transport.start(stores.__getitem__)
+    exchange.run_iteration(transport)
 
     Sigma_l = np.zeros_like(Gl)
     Sigma_g = np.zeros_like(Gg)

@@ -92,8 +92,7 @@ class RankWorker(RankSSEStore):
     def begin_run(self, state: Dict) -> None:
         """Sync sweep-mutable settings and reset the Born-loop state.
 
-        Mirrors the multiprocess engine's worker settings sync: only
-        non-structural fields (bias, temperatures, coupling, …) ever
+        Only non-structural fields (bias, temperatures, coupling, …) ever
         change while a runtime lives, so plain setattr is sufficient and
         the boundary cache stays valid (and warm) across sweep points.
         """

@@ -54,7 +54,6 @@ _CONSTRUCTION_FIELDS: Tuple[str, ...] = (
     "rgf_kernel",
     "cache_boundary",
     "cache_operators",
-    "max_workers",
     "sse_backend",
     "runtime",
     "ranks",

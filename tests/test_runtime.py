@@ -14,6 +14,7 @@ The acceptance contract of the runtime tier:
 """
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -302,11 +303,17 @@ class TestFacade:
         assert plan.runtime_plan is None
         assert plan.groups[0].base_settings["runtime"] == "serial"
 
-    def test_session_sweep_matches_serial_and_reports_comm(self):
+    @pytest.mark.parametrize("runtime", ["sim", "pipe"])
+    def test_session_sweep_matches_serial_and_reports_comm(self, runtime):
+        # pipe is the cross-process case: forked ranks must see the bias
+        # mutated between sweep points, and closing the session must
+        # release them
         w = _facade_workload()
-        with Session(w.compile(runtime="sim", ranks=2, schedule="dace")) as s:
+        plan = w.compile(runtime=runtime, ranks=2, schedule="dace")
+        with Session(plan) as s:
             sweep_d = s.run()
             reuse = s.reuse_counters()
+        assert multiprocessing.active_children() == []
         with Session(w.compile(runtime="serial")) as s:
             sweep_s = s.run()
         for rd, rs in zip(sweep_d, sweep_s):
