@@ -40,12 +40,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import (
     AUTOTUNE_STRATEGIES,
-    EXECUTION_BACKENDS,
-    RUNTIMES,
     SSE_SCHEDULES,
     SimulationParameters,
-    default_engine,
-    default_runtime,
+    resolve,
     validate_parameters,
 )
 from ..model.communication import omen_comm_total_bytes
@@ -103,18 +100,14 @@ def choose_rgf_kernel(device) -> str:
     needed), and the factorization-reuse ``numpy`` kernel everywhere
     else.
     """
-    from ..config import default_rgf_kernel
     from ..negf.structure import coupling_density_estimate
 
-    if os.environ.get("REPRO_RGF_KERNEL", "").strip():
-        return default_rgf_kernel()
     block = device.slab_width * device.ny_rows * device.Norb
     density = coupling_density_estimate(
         device.ny_rows, device.slab_width, device.NB
     )
-    if block >= _CSRMM_MIN_BLOCK and density <= _CSRMM_MAX_DENSITY:
-        return "csrmm"
-    return "numpy"
+    sparse = block >= _CSRMM_MIN_BLOCK and density <= _CSRMM_MAX_DENSITY
+    return resolve("rgf_kernel", default="csrmm" if sparse else "numpy")
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,6 @@ class Plan:
             f"G≷ {c.electron_gf_bytes / 2**20:.1f} MiB peak"
         )
         if self.sse_report is not None:
-            from ..sdfg.backends import default_backend
             from ..sdfg.pipeline import format_bytes
 
             r = self.sse_report
@@ -296,7 +288,7 @@ class Plan:
             variant = self.workload.physics.sse_variant
             how = (
                 f"compiled graph, backend="
-                f"{self.sse_backend or default_backend()}"
+                f"{self.sse_backend or resolve('sdfg_backend')}"
                 if variant == "sdfg"
                 else "hand-vectorized kernel"
             )
@@ -460,32 +452,16 @@ def compile_workload(
     """
     points = workload.sweep_points()
 
-    # -- backend selection -----------------------------------------------------
-    if engine is not None:
-        if engine not in EXECUTION_BACKENDS:
-            raise PlanError(
-                f"unknown engine {engine!r}; expected one of {EXECUTION_BACKENDS}"
-            )
-    else:
-        try:
-            engine = default_engine()
-        except ValueError as exc:
-            raise PlanError(str(exc)) from exc
-    if rgf_kernel is not None:
-        from ..negf.kernels import available_kernels
-
-        if rgf_kernel not in available_kernels():
-            hint = (
-                " (the numba kernel requires the optional numba package)"
-                if rgf_kernel == "numba"
-                else ""
-            )
-            raise PlanError(
-                f"unknown rgf_kernel {rgf_kernel!r}; expected one of "
-                f"{available_kernels()}{hint}"
-            )
-    else:
-        rgf_kernel = choose_rgf_kernel(workload.device)
+    # -- backend and runtime selection -------------------------------------------
+    try:
+        engine = resolve("engine", engine)
+        if rgf_kernel is None:
+            rgf_kernel = choose_rgf_kernel(workload.device)
+        else:
+            rgf_kernel = resolve("rgf_kernel", rgf_kernel)
+        runtime = resolve("runtime", runtime)
+    except ValueError as exc:
+        raise PlanError(str(exc)) from exc
     if sse_backend is not None:
         from ..sdfg.backends import BackendError, get_backend
 
@@ -494,16 +470,6 @@ def compile_workload(
         except BackendError as exc:
             raise PlanError(f"invalid sse_backend: {exc}") from exc
 
-    # -- runtime selection ------------------------------------------------------
-    if runtime is None:
-        try:
-            runtime = default_runtime()
-        except ValueError as exc:
-            raise PlanError(str(exc)) from exc
-    if runtime not in RUNTIMES:
-        raise PlanError(
-            f"unknown runtime {runtime!r}; expected one of {RUNTIMES}"
-        )
     if schedule is not None and schedule not in SSE_SCHEDULES:
         raise PlanError(
             f"unknown SSE schedule {schedule!r}; "

@@ -23,10 +23,10 @@ trace after every commitment; rerunning with the same ``trace_path``
 replays the committed prefix (validating state signatures step by step)
 and continues — or just rebuilds the result when the trace is complete.
 
-Configuration knobs follow the ``REPRO_ENGINE`` idiom (explicitly set
-but invalid values raise): ``REPRO_AUTOTUNE_STRATEGY``,
-``REPRO_AUTOTUNE_BEAM_WIDTH``, ``REPRO_AUTOTUNE_MAX_MOVES``,
-``REPRO_AUTOTUNE_ESCAPE_DEPTH``.
+Settings are :class:`SearchConfig` fields: ``strategy``, ``beam_width``,
+``max_moves`` and ``escape_depth``; unset fields take the module
+defaults below, and explicit values outside their range raise
+:class:`AutotuneError`.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..config import (
-    AUTOTUNE_STRATEGIES,
-    default_autotune_beam_width,
-    default_autotune_escape_depth,
-    default_autotune_max_moves,
-    default_autotune_strategy,
-)
+from ..config import AUTOTUNE_STRATEGIES
 from ..sdfg import Pipeline, PipelineReport
 from ..sdfg.pipeline import _transient_bytes, measure_movement
 from ..telemetry import metrics as _metrics
@@ -69,11 +63,21 @@ __all__ = [
 #: (modeled bytes moved, transient bytes) — compared lexicographically
 Score = Tuple[int, int]
 
+DEFAULT_STRATEGY = "greedy"
+#: keeps enough byte-neutral enabler states alive to thread
+#: layout -> batch -> fuse sequences
+DEFAULT_BEAM_WIDTH = 4
+#: ~2.5x the hand recipe's depth: a termination backstop, not a tuning dial
+DEFAULT_MAX_MOVES = 24
+#: covers the longest byte-neutral chain the move space produces before a
+#: payoff (expand -> fuse -> shrink, plus one layout move)
+DEFAULT_ESCAPE_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Autotune search configuration; ``None`` fields resolve from the
-    ``REPRO_AUTOTUNE_*`` environment knobs (invalid values raise)."""
+    """Autotune search configuration; ``None`` fields resolve to the
+    module's ``DEFAULT_*`` constants (invalid values raise)."""
 
     strategy: Optional[str] = None
     beam_width: Optional[int] = None
@@ -89,20 +93,26 @@ class SearchConfig:
     seed: int = 0
 
     def resolved(self) -> "SearchConfig":
-        strategy = self.strategy or default_autotune_strategy()
+        def pick(value, default):
+            return default if value is None else value
+
+        strategy = pick(self.strategy, DEFAULT_STRATEGY)
         if strategy not in AUTOTUNE_STRATEGIES:
             raise AutotuneError(
                 f"strategy {strategy!r} is not a valid autotune strategy; "
                 f"expected one of {AUTOTUNE_STRATEGIES}"
             )
-        return replace(
-            self,
-            strategy=strategy,
-            beam_width=self.beam_width or default_autotune_beam_width(),
-            max_moves=self.max_moves or default_autotune_max_moves(),
-            escape_depth=self.escape_depth
-            or default_autotune_escape_depth(),
+        sizes = dict(
+            beam_width=pick(self.beam_width, DEFAULT_BEAM_WIDTH),
+            max_moves=pick(self.max_moves, DEFAULT_MAX_MOVES),
+            escape_depth=pick(self.escape_depth, DEFAULT_ESCAPE_DEPTH),
         )
+        for name, value in sizes.items():
+            if value < 1:
+                raise AutotuneError(
+                    f"{name}={value} is not valid; expected an integer >= 1"
+                )
+        return replace(self, strategy=strategy, **sizes)
 
 
 @dataclass

@@ -1,16 +1,20 @@
-"""Simulation parameters (paper Table 1) with range validation.
+"""Simulation parameters (paper Table 1) and the package's settings table.
 
 The paper's Table 1 lists the typical ranges of every quantum-transport
 simulation parameter; :class:`SimulationParameters` encodes them and the
 derived quantities used throughout the models (tensor sizes, flop counts,
 communication volumes).
+
+:data:`KNOBS` declares every ``REPRO_*`` environment variable the package
+reads, and :func:`resolve` is the one place that reads and validates
+them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple, Union
 
 __all__ = [
     "PARAMETER_RANGES",
@@ -18,20 +22,11 @@ __all__ = [
     "RGF_KERNELS",
     "RUNTIMES",
     "SSE_SCHEDULES",
-    "SERVICE_MODES",
     "AUTOTUNE_STRATEGIES",
     "TELEMETRY_MODES",
-    "default_telemetry_mode",
-    "default_autotune_strategy",
-    "default_autotune_beam_width",
-    "default_autotune_max_moves",
-    "default_autotune_escape_depth",
-    "default_engine",
-    "default_rgf_kernel",
-    "default_runtime",
-    "default_service_mode",
-    "default_service_capacity",
-    "default_service_cache_entries",
+    "Knob",
+    "KNOBS",
+    "resolve",
     "validate_parameters",
     "SimulationParameters",
     "PAPER_STRUCTURE_4864",
@@ -43,26 +38,6 @@ __all__ = [
 #: ``batched`` solves stacked block-tridiagonal systems per momentum row.
 EXECUTION_BACKENDS: Tuple[str, ...] = ("serial", "batched")
 
-
-def default_engine() -> str:
-    """Engine backend used when ``SCBASettings.engine`` is not set.
-
-    Overridable through the ``REPRO_ENGINE`` environment variable (an
-    explicitly set but unknown value raises); the built-in default is
-    ``batched`` (validated against ``serial`` to 1e-10 in
-    ``tests/test_engine.py``).
-    """
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if not env:
-        return "batched"
-    if env not in EXECUTION_BACKENDS:
-        raise ValueError(
-            f"REPRO_ENGINE={env!r} is not a valid backend; "
-            f"expected one of {EXECUTION_BACKENDS}"
-        )
-    return env
-
-
 #: RGF solver kernels (``repro.negf.kernels``): ``reference`` is the
 #: seed recursion with per-block ``solve(A, I)`` inverses (bit-exactness
 #: oracle), ``numpy`` factorizes each diagonal block once and reuses the
@@ -71,26 +46,6 @@ def default_engine() -> str:
 #: Table-6 CSRMM strategy, and ``numba`` JIT-compiles the batched
 #: recursion (registered only when numba is importable).
 RGF_KERNELS: Tuple[str, ...] = ("reference", "numpy", "csrmm", "numba")
-
-
-def default_rgf_kernel() -> str:
-    """RGF kernel used when ``SCBASettings.rgf_kernel`` is not set.
-
-    Overridable through the ``REPRO_RGF_KERNEL`` environment variable (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``);
-    the built-in default is ``numpy`` (validated against ``reference`` to
-    1e-10 in ``tests/test_kernels.py``).
-    """
-    env = os.environ.get("REPRO_RGF_KERNEL", "").strip().lower()
-    if not env:
-        return "numpy"
-    if env not in RGF_KERNELS:
-        raise ValueError(
-            f"REPRO_RGF_KERNEL={env!r} is not a valid RGF kernel; "
-            f"expected one of {RGF_KERNELS}"
-        )
-    return env
-
 
 #: SCBA execution runtimes (``repro.runtime``): ``serial`` runs the
 #: in-process Born loop of ``SCBASimulation``; ``sim`` distributes it over
@@ -104,97 +59,12 @@ RUNTIMES: Tuple[str, ...] = ("serial", "sim", "pipe")
 #: communication-avoiding DaCe ``TE x TA`` tile exchange.
 SSE_SCHEDULES: Tuple[str, ...] = ("omen", "dace")
 
-
-def default_runtime() -> str:
-    """Runtime used when ``SCBASettings.runtime`` is not set.
-
-    Overridable through the ``REPRO_RUNTIME`` environment variable (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``);
-    the built-in default is ``serial``.
-    """
-    env = os.environ.get("REPRO_RUNTIME", "").strip().lower()
-    if not env:
-        return "serial"
-    if env not in RUNTIMES:
-        raise ValueError(
-            f"REPRO_RUNTIME={env!r} is not a valid runtime; "
-            f"expected one of {RUNTIMES}"
-        )
-    return env
-
-#: Execution modes of the multi-tenant scheduler (``repro.service``):
-#: ``sync`` runs jobs inside explicit ``drain()`` calls (deterministic,
-#: the testing mode); ``thread`` drains the queue on a background worker.
-SERVICE_MODES: Tuple[str, ...] = ("sync", "thread")
-
-
-def default_service_mode() -> str:
-    """Scheduler mode used when ``SchedulerService(mode=...)`` is not set.
-
-    Overridable through the ``REPRO_SERVICE_MODE`` environment variable
-    (an explicitly set but unknown value raises, mirroring
-    ``REPRO_ENGINE``); the built-in default is ``sync``.
-    """
-    env = os.environ.get("REPRO_SERVICE_MODE", "").strip().lower()
-    if not env:
-        return "sync"
-    if env not in SERVICE_MODES:
-        raise ValueError(
-            f"REPRO_SERVICE_MODE={env!r} is not a valid scheduler mode; "
-            f"expected one of {SERVICE_MODES}"
-        )
-    return env
-
-
-def default_service_capacity() -> float:
-    """Per-pool capacity (modeled flops) of the scheduler's rank pools.
-
-    Overridable through ``REPRO_SERVICE_CAPACITY`` (a positive float;
-    invalid or non-positive values raise).  The built-in default of
-    ``1e13`` modeled flops comfortably fits several Table-3-priced small
-    workloads per pool while still splitting heavy mixed-tenant batches.
-    """
-    env = os.environ.get("REPRO_SERVICE_CAPACITY", "").strip()
-    if not env:
-        return 1e13
-    try:
-        capacity = float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_CAPACITY={env!r} is not a valid pool capacity; "
-            "expected a positive float (modeled flops)"
-        ) from None
-    if capacity <= 0:
-        raise ValueError(
-            f"REPRO_SERVICE_CAPACITY={env!r} must be positive (modeled flops)"
-        )
-    return capacity
-
-
-def default_service_cache_entries() -> int:
-    """Entry budget of the scheduler's in-memory result cache.
-
-    Overridable through ``REPRO_SERVICE_CACHE`` (a non-negative int;
-    ``0`` disables result caching; invalid values raise).  The built-in
-    default keeps the 128 most recently used results.
-    """
-    env = os.environ.get("REPRO_SERVICE_CACHE", "").strip()
-    if not env:
-        return 128
-    try:
-        entries = int(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_CACHE={env!r} is not a valid cache size; "
-            "expected a non-negative integer entry count"
-        ) from None
-    if entries < 0:
-        raise ValueError(
-            f"REPRO_SERVICE_CACHE={env!r} must be non-negative "
-            "(0 disables result caching)"
-        )
-    return entries
-
+#: Search strategies of the transformation autotuner (``repro.autotune``):
+#: ``greedy`` commits the best byte-reducing move per step and escapes
+#: plateaus with a bounded breadth-first probe over enabler moves;
+#: ``beam`` keeps the best-``width`` frontier per depth with dominated
+#: states pruned.
+AUTOTUNE_STRATEGIES: Tuple[str, ...] = ("greedy", "beam")
 
 #: Observability modes of the telemetry subsystem (``repro.telemetry``):
 #: ``off`` disables every probe (the default; near-zero overhead),
@@ -205,98 +75,96 @@ def default_service_cache_entries() -> int:
 TELEMETRY_MODES: Tuple[str, ...] = ("off", "spans", "full")
 
 
-def default_telemetry_mode() -> str:
-    """Telemetry mode used when :func:`repro.telemetry.configure` is not
-    called explicitly.
+def _registered_rgf_kernels() -> Tuple[str, ...]:
+    from .negf.kernels import available_kernels
 
-    Overridable through the ``REPRO_TELEMETRY`` environment variable (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``);
-    the built-in default is ``off``.
+    return available_kernels()
+
+
+def _registered_sdfg_backends() -> Tuple[str, ...]:
+    from .sdfg.backends import available_backends
+
+    return available_backends()
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One setting a caller may choose through a ``REPRO_*`` variable.
+
+    ``choices`` is a tuple, or a callable returning the names currently
+    registered (so kernels and backends added at run time stay valid).
     """
-    env = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
-    if not env:
-        return "off"
-    if env not in TELEMETRY_MODES:
-        raise ValueError(
-            f"REPRO_TELEMETRY={env!r} is not a valid telemetry mode; "
-            f"expected one of {TELEMETRY_MODES}"
-        )
-    return env
+
+    name: str
+    env: str
+    choices: Union[Tuple[str, ...], Callable[[], Tuple[str, ...]]]
+    default: str
+    doc: str
+
+    def valid(self) -> Tuple[str, ...]:
+        """The values this knob accepts right now."""
+        return self.choices() if callable(self.choices) else self.choices
 
 
-#: Search strategies of the transformation autotuner (``repro.autotune``):
-#: ``greedy`` commits the best byte-reducing move per step and escapes
-#: plateaus with a bounded breadth-first probe over enabler moves;
-#: ``beam`` keeps the best-``width`` frontier per depth with dominated
-#: states pruned.
-AUTOTUNE_STRATEGIES: Tuple[str, ...] = ("greedy", "beam")
-
-
-def default_autotune_strategy() -> str:
-    """Search strategy used when the autotuner is invoked without one.
-
-    Overridable through the ``REPRO_AUTOTUNE_STRATEGY`` environment
-    variable (an explicitly set but unknown value raises, mirroring
-    ``REPRO_ENGINE``); the built-in default is ``greedy``.
-    """
-    env = os.environ.get("REPRO_AUTOTUNE_STRATEGY", "").strip().lower()
-    if not env:
-        return "greedy"
-    if env not in AUTOTUNE_STRATEGIES:
-        raise ValueError(
-            f"REPRO_AUTOTUNE_STRATEGY={env!r} is not a valid autotune "
-            f"strategy; expected one of {AUTOTUNE_STRATEGIES}"
-        )
-    return env
-
-
-def _autotune_positive_int(var: str, default: int, what: str) -> int:
-    env = os.environ.get(var, "").strip()
-    if not env:
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{var}={env!r} is not a valid {what}; "
-            "expected a positive integer"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{var}={env!r} must be a positive integer")
-    return value
-
-
-def default_autotune_beam_width() -> int:
-    """Beam width of the autotuner's ``beam`` strategy.
-
-    Overridable through ``REPRO_AUTOTUNE_BEAM_WIDTH`` (a positive int;
-    invalid values raise).  The default of 4 keeps enough byte-neutral
-    enabler states alive to thread layout -> batch -> fuse sequences.
-    """
-    return _autotune_positive_int("REPRO_AUTOTUNE_BEAM_WIDTH", 4, "beam width")
-
-
-def default_autotune_max_moves() -> int:
-    """Maximum committed moves (pipeline depth) of one autotune search.
-
-    Overridable through ``REPRO_AUTOTUNE_MAX_MOVES`` (a positive int;
-    invalid values raise).  The default of 24 is ~2.5x the hand recipe's
-    depth — a termination backstop, not a tuning dial.
-    """
-    return _autotune_positive_int("REPRO_AUTOTUNE_MAX_MOVES", 24, "move budget")
-
-
-def default_autotune_escape_depth() -> int:
-    """Plateau-escape probe depth of the autotuner's ``greedy`` strategy.
-
-    Overridable through ``REPRO_AUTOTUNE_ESCAPE_DEPTH`` (a positive int;
-    invalid values raise).  The default of 4 covers the longest
-    byte-neutral chain the move space produces before a payoff
-    (expand -> fuse -> shrink, plus one layout move).
-    """
-    return _autotune_positive_int(
-        "REPRO_AUTOTUNE_ESCAPE_DEPTH", 4, "escape depth"
+#: Every environment-settable setting of the package, declared once.
+#: Each is also an explicit argument of the code that consumes it; the
+#: variable only supplies the value when the argument is left unset.
+KNOBS: Dict[str, Knob] = {
+    knob.name: knob
+    for knob in (
+        Knob(
+            "engine", "REPRO_ENGINE", EXECUTION_BACKENDS, "batched",
+            "spectral-grid engine of SCBASettings (repro.negf.engine)",
+        ),
+        Knob(
+            "rgf_kernel", "REPRO_RGF_KERNEL", _registered_rgf_kernels,
+            "numpy",
+            "RGF recursion of the batched solves (repro.negf.kernels); "
+            "when set it also overrides the planner's kernel heuristic",
+        ),
+        Knob(
+            "runtime", "REPRO_RUNTIME", RUNTIMES, "serial",
+            "SCBA execution runtime (repro.runtime)",
+        ),
+        Knob(
+            "sdfg_backend", "REPRO_SDFG_BACKEND", _registered_sdfg_backends,
+            "numpy",
+            "execution backend of compiled SDFG pipelines "
+            "(repro.sdfg.backends)",
+        ),
+        Knob(
+            "telemetry", "REPRO_TELEMETRY", TELEMETRY_MODES, "off",
+            "telemetry mode (repro.telemetry)",
+        ),
     )
+}
+
+
+def resolve(
+    name: str, value: Optional[str] = None, default: Optional[str] = None
+) -> str:
+    """The value of knob ``name`` (a key of :data:`KNOBS`).
+
+    An explicit ``value`` wins; otherwise the knob's environment
+    variable, when set and non-empty; otherwise ``default``, or the
+    knob's own default when that is None.  Explicit and environment
+    values are both checked against the knob's choices: an unknown one
+    raises :class:`ValueError` naming the knob, the variable it came
+    from, and the valid choices.
+    """
+    knob = KNOBS[name]
+    origin = ""
+    if value is None:
+        value = os.environ.get(knob.env, "").strip().lower()
+        if not value:
+            return knob.default if default is None else default
+        origin = f" (from {knob.env})"
+    choices = knob.valid()
+    if value not in choices:
+        raise ValueError(
+            f"unknown {name} {value!r}{origin}; expected one of {choices}"
+        )
+    return value
 
 
 def validate_parameters(base=None, **overrides) -> "SimulationParameters":

@@ -37,6 +37,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..config import resolve
 from ..sdfg import (
     CompiledPipeline,
     ExpandPass,
@@ -424,7 +425,7 @@ def tuned_sse_search(
     with ``verify`` (default) every stage of the winner is checked
     against :func:`sse_sigma_reference` at :data:`VERIFY_DIMS`.
     ``strategy``/``beam_width``/``max_moves`` default to the
-    ``REPRO_AUTOTUNE_*`` knobs; ``library`` (default
+    :class:`~repro.autotune.SearchConfig` defaults; ``library`` (default
     :func:`sse_move_library`) restricts or extends the move space.
     Results are cached per dims and resolved settings (except when
     ``trace_path`` or a custom ``library`` is given — those carry their
@@ -509,11 +510,11 @@ def compiled_sse_kernel(backend: Optional[str] = None):
     Returns a callable ``(dims, arrays, tables) -> Sigma`` in the
     original ``[kz, E, a]`` layout; cached per resolved backend name.
     """
-    from ..sdfg.backends import default_backend, get_backend
+    from ..sdfg.backends import get_backend
     from ..telemetry import metrics as _metrics
     from ..telemetry.spans import metrics_enabled, trace
 
-    name = backend or default_backend()
+    name = backend or resolve("sdfg_backend")
     if name not in _SSE_KERNELS:
         stage = SSE_PIPELINE.stages()[-1]
         runner = get_backend(name).compile_stage(stage)

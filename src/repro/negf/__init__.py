@@ -21,7 +21,6 @@ from .kernels import (
     KernelError,
     RGFKernel,
     available_kernels,
-    default_rgf_kernel,
     get_kernel,
     register_kernel,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "KernelError",
     "RGFKernel",
     "available_kernels",
-    "default_rgf_kernel",
     "get_kernel",
     "register_kernel",
     "select_strategy",

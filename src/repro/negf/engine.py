@@ -23,8 +23,8 @@ This module turns that sweep into an explicit execution layer:
   momentum row, solved with :func:`repro.negf.rgf.rgf_solve_batched` and
   boundary conditions from the batched Sancho-Rubio recursion.
 
-Backends are selected with ``SCBASettings.engine`` (default from
-:func:`repro.config.default_engine`, overridable via ``REPRO_ENGINE``);
+Backends are selected with ``SCBASettings.engine`` (default from the
+``engine`` knob of :data:`repro.config.KNOBS`, ``REPRO_ENGINE``);
 ``tests/test_engine.py`` pins batched == serial to 1e-10.  Orthogonally
 to the backend, the RGF recursion itself is pluggable
 (:mod:`repro.negf.kernels`, ``SCBASettings.rgf_kernel`` /
@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import EXECUTION_BACKENDS
+from ..config import resolve
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .boundary import lead_self_energy, lead_self_energy_batched
@@ -672,10 +672,4 @@ _ENGINES = {
 
 def make_engine(name: str, grid: SpectralGrid) -> GridEngine:
     """Instantiate the execution backend ``name`` for ``grid``."""
-    try:
-        cls = _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {EXECUTION_BACKENDS}"
-        ) from None
-    return cls(grid)
+    return _ENGINES[resolve("engine", name)](grid)

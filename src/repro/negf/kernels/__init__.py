@@ -28,11 +28,10 @@ the paper treats the RGF kernel exactly this way):
     Registered only when numba is importable; requesting it otherwise
     raises with a clear message (no hard dependency).
 
-Kernel selection mirrors the engine/backend conventions:
-``SCBASettings.rgf_kernel``, overridable through ``REPRO_RGF_KERNEL``
-(invalid values raise), default from
-:func:`repro.config.default_rgf_kernel`.  Every registered kernel is
-validated against the serial oracle to ≤ 1e-10 in
+Kernel selection: ``SCBASettings.rgf_kernel``, whose default is the
+``rgf_kernel`` knob of :data:`repro.config.KNOBS` (``REPRO_RGF_KERNEL``,
+default ``numpy``; its choices are the registered names).  Every
+registered kernel is validated against the serial oracle to ≤ 1e-10 in
 ``tests/test_kernels.py``; ``benchmarks/bench_rgf_kernels.py`` records
 the Table-6 ordering inside the solver and the end-to-end SCBA speedup
 in ``BENCH_rgf.json``.
@@ -44,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...config import RGF_KERNELS, default_rgf_kernel
+from ...config import RGF_KERNELS, resolve
 from ..rgf import BatchedRGFResult, _H
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "KernelError",
     "RGF_KERNELS",
     "available_kernels",
-    "default_rgf_kernel",
     "get_kernel",
     "register_kernel",
 ]
@@ -159,11 +157,11 @@ def available_kernels() -> Tuple[str, ...]:
 
 
 def get_kernel(name: Optional[str] = None) -> RGFKernel:
-    """Instantiate a kernel by name (``None`` → :func:`default_rgf_kernel`)."""
+    """Instantiate a kernel by name (``None`` → the ``rgf_kernel`` knob)."""
     if isinstance(name, RGFKernel):
         return name
     if name is None:
-        name = default_rgf_kernel()
+        name = resolve("rgf_kernel")
     if name not in _REGISTRY:
         hint = (
             " (the numba kernel requires the optional numba package, "

@@ -34,11 +34,12 @@ Physical conventions (dimensionless units, ħ = e = 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any, Dict, List, Literal, Optional
 
 import numpy as np
 
-from ..config import default_engine, default_rgf_kernel, default_runtime
+from ..config import resolve
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import trace
 from .engine import SpectralGrid, bose, fermi, make_engine
@@ -93,15 +94,16 @@ class SCBASettings:
     sse_backend: Optional[str] = None
     #: spectral-grid execution backend (see :mod:`repro.negf.engine`):
     #: ``serial`` per-point oracle, ``batched`` stacked tensors
+    #: (default follows ``REPRO_ENGINE``, invalid values raise)
     engine: Literal["serial", "batched"] = field(
-        default_factory=default_engine
+        default_factory=partial(resolve, "engine")
     )
     #: RGF kernel of the batched backends (see :mod:`repro.negf.kernels`):
     #: ``reference`` seed recursion, ``numpy`` factorization reuse,
     #: ``csrmm`` Table-6 sparse foldings, ``numba`` compiled (optional).
     #: The serial engine stays pinned to ``reference`` — it is the oracle.
     #: Default follows ``REPRO_RGF_KERNEL`` (invalid values raise).
-    rgf_kernel: str = field(default_factory=default_rgf_kernel)
+    rgf_kernel: str = field(default_factory=partial(resolve, "rgf_kernel"))
     #: memoize lead self-energies across Born iterations; ``False``
     #: restores the seed's per-iteration recomputation (benchmarks only)
     cache_boundary: bool = True
@@ -113,7 +115,7 @@ class SCBASettings:
     #: ranks exchanging G≷/Π≷ through an SSE schedule (default follows
     #: ``REPRO_RUNTIME``, invalid values raise)
     runtime: Literal["serial", "sim", "pipe"] = field(
-        default_factory=default_runtime
+        default_factory=partial(resolve, "runtime")
     )
     #: rank count of the distributed runtime (None: one rank per kz);
     #: must decompose the (Nkz, NE) grid (P = Nkz x E-chunks)

@@ -22,18 +22,18 @@ Two backends are registered:
     faster than interpretation, with an analytically derived
     :class:`~repro.sdfg.interpreter.ExecutionReport`.
 
-Backend selection mirrors the spectral-grid engine convention
-(``REPRO_ENGINE``): :func:`default_backend` honors the
-``REPRO_SDFG_BACKEND`` environment variable and raises on invalid
-values; the built-in default is ``numpy``.
+:func:`get_backend` without a name resolves the ``sdfg_backend`` knob of
+:data:`repro.config.KNOBS` (``REPRO_SDFG_BACKEND``, default ``numpy``);
+its choices are the registered names.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
+
+from ...config import resolve
 
 __all__ = [
     "Backend",
@@ -41,7 +41,6 @@ __all__ = [
     "StageRunner",
     "SDFG_BACKENDS",
     "available_backends",
-    "default_backend",
     "get_backend",
     "register_backend",
 ]
@@ -102,34 +101,15 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(name: Optional[str] = None) -> Backend:
-    """Instantiate a backend by name (``None`` → :func:`default_backend`)."""
+    """Instantiate a backend by name (``None`` → the ``sdfg_backend`` knob)."""
     if name is None:
-        name = default_backend()
+        name = resolve("sdfg_backend")
     if name not in _REGISTRY:
         raise BackendError(
             f"unknown SDFG backend {name!r}; expected one of "
             f"{available_backends()}"
         )
     return _REGISTRY[name]()
-
-
-def default_backend() -> str:
-    """Backend used when none is requested explicitly.
-
-    Overridable through the ``REPRO_SDFG_BACKEND`` environment variable
-    (an explicitly set but unknown value raises, mirroring
-    ``REPRO_ENGINE``); the built-in default is ``numpy``, which every
-    pipeline compilation verifies against the reference kernel.
-    """
-    env = os.environ.get("REPRO_SDFG_BACKEND", "").strip().lower()
-    if not env:
-        return "numpy"
-    if env not in _REGISTRY:
-        raise BackendError(
-            f"REPRO_SDFG_BACKEND={env!r} is not a valid backend; "
-            f"expected one of {available_backends()}"
-        )
-    return env
 
 
 from .interpreter import InterpreterBackend  # noqa: E402

@@ -517,9 +517,8 @@ class Pipeline:
         ``backend`` names a registered execution backend
         (:data:`repro.sdfg.backends.SDFG_BACKENDS`: ``"numpy"`` generates
         vectorized source, ``"interpreter"`` wraps the reference
-        interpreter); ``None`` defers to
-        :func:`repro.sdfg.backends.default_backend` — the
-        ``REPRO_SDFG_BACKEND`` environment variable, or ``numpy``.
+        interpreter); ``None`` resolves the ``sdfg_backend`` knob
+        (``REPRO_SDFG_BACKEND``, default ``numpy``).
         Unknown names raise a
         :class:`~repro.sdfg.backends.BackendError`.
 

@@ -35,12 +35,14 @@ Quick start::
         sweep = svc.wait(job)          # drains the queue in sync mode
         print(svc.stats()["boundary_solves_saved"])
 
-Knobs: ``REPRO_SERVICE_MODE`` (sync/thread), ``REPRO_SERVICE_CAPACITY``
-(modeled flops per pool), ``REPRO_SERVICE_CACHE`` (LRU entries, 0
-disables) — invalid values raise, mirroring ``REPRO_ENGINE``.
+Settings are constructor arguments: ``SchedulerService(mode=...)``
+(``sync``/``thread``, default ``sync``), ``capacity_flops=`` (modeled
+flops per pool, default :data:`DEFAULT_CAPACITY_FLOPS`) and
+``cache=ResultCache(max_entries=...)`` (LRU entries, default
+:data:`DEFAULT_CACHE_ENTRIES`; ``0`` disables).  Invalid values raise.
 """
 
-from .cache import ResultCache
+from .cache import DEFAULT_CACHE_ENTRIES, ResultCache
 from .jobs import JOB_STATES, TERMINAL_STATES, Job, JobError, JobRecord
 from .packer import (
     JobPrice,
@@ -51,7 +53,12 @@ from .packer import (
     price_plan,
 )
 from .pool import PoolError, RankPool, structural_key
-from .scheduler import SchedulerError, SchedulerService
+from .scheduler import (
+    DEFAULT_CAPACITY_FLOPS,
+    SERVICE_MODES,
+    SchedulerError,
+    SchedulerService,
+)
 
 __all__ = [
     "JOB_STATES",
@@ -59,6 +66,7 @@ __all__ = [
     "Job",
     "JobError",
     "JobRecord",
+    "DEFAULT_CACHE_ENTRIES",
     "ResultCache",
     "JobPrice",
     "PackingError",
@@ -69,6 +77,8 @@ __all__ = [
     "PoolError",
     "RankPool",
     "structural_key",
+    "DEFAULT_CAPACITY_FLOPS",
+    "SERVICE_MODES",
     "SchedulerError",
     "SchedulerService",
 ]

@@ -7,15 +7,18 @@ matter how their specs were constructed or labeled.
 
 Two tiers:
 
-* an in-memory LRU (entry budget from ``REPRO_SERVICE_CACHE``; ``0``
-  disables caching entirely) holding live
+* an in-memory LRU (entry budget ``max_entries``, default
+  :data:`DEFAULT_CACHE_ENTRIES`; ``0`` disables caching entirely) holding live
   :class:`~repro.api.SweepResult` objects, full tensors included — a hit
   returns the exact object payload a fresh run would have produced;
 * an optional on-disk store (``directory=...``): each entry is persisted
   as ``<key>.json`` through :meth:`SweepResult.to_json`, surviving
   process restarts.  Disk hits are promoted back into the LRU.  Arrays
   are included on disk only with ``persist_arrays=True`` — the scalar
-  summary is the default, matching :meth:`SweepResult.save`.
+  summary is the default, matching :meth:`SweepResult.save`.  Entries
+  are written to a temporary file and renamed into place, so a crash
+  never leaves a half-written ``<key>.json``; an entry that still cannot
+  be read is renamed to ``<key>.json.corrupt`` and counted as a miss.
 
 Hit/miss/eviction counters feed the scheduler's :meth:`stats`.
 """
@@ -23,14 +26,17 @@ Hit/miss/eviction counters feed the scheduler's :meth:`stats`.
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..api.session import SweepResult
-from ..config import default_service_cache_entries
+__all__ = ["DEFAULT_CACHE_ENTRIES", "ResultCache"]
 
-__all__ = ["ResultCache"]
+#: Default entry budget of the in-memory tier: the 128 most recently
+#: used results.
+DEFAULT_CACHE_ENTRIES = 128
 
 
 class ResultCache:
@@ -38,13 +44,11 @@ class ResultCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_CACHE_ENTRIES,
         directory: Optional[str] = None,
         persist_arrays: bool = False,
     ):
-        self.max_entries = (
-            default_service_cache_entries() if max_entries is None else max_entries
-        )
+        self.max_entries = max_entries
         if self.max_entries < 0:
             raise ValueError(f"max_entries={self.max_entries} must be >= 0")
         self.directory = Path(directory) if directory is not None else None
@@ -56,6 +60,7 @@ class ResultCache:
         self.misses = 0
         self.puts = 0
         self.evictions = 0
+        self.corrupt = 0
 
     @property
     def enabled(self) -> bool:
@@ -79,10 +84,16 @@ class ResultCache:
             return self._entries[key]
         path = self._disk_path(key)
         if path is not None:
-            result = SweepResult.from_dict(json.loads(path.read_text()))
-            self._insert(key, result)  # promote to the LRU tier
-            self.hits += 1
-            return result
+            try:
+                result = SweepResult.from_dict(json.loads(path.read_text()))
+            except (ValueError, KeyError, TypeError):
+                # unreadable entry: keep it for inspection, out of the way
+                os.replace(path, path.with_name(path.name + ".corrupt"))
+                self.corrupt += 1
+            else:
+                self._insert(key, result)  # promote to the LRU tier
+                self.hits += 1
+                return result
         self.misses += 1
         return None
 
@@ -95,9 +106,11 @@ class ResultCache:
         self.puts += 1
         if self.directory is not None:
             path = self.directory / f"{key}.json"
-            path.write_text(
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            tmp.write_text(
                 result.to_json(include_arrays=self.persist_arrays) + "\n"
             )
+            os.replace(tmp, path)
 
     def _insert(self, key: str, result: SweepResult) -> None:
         self._entries[key] = result
@@ -121,5 +134,6 @@ class ResultCache:
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
+            "corrupt": self.corrupt,
             "disk": str(self.directory) if self.directory is not None else None,
         }

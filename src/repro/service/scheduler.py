@@ -18,7 +18,7 @@ then walks each job through the lifecycle:
    same batch resolves from the cache at this point with zero additional
    boundary solves.
 
-Two modes (``REPRO_SERVICE_MODE``): ``sync`` — jobs run inside explicit
+Two modes (the ``mode`` argument): ``sync`` — jobs run inside explicit
 :meth:`drain` calls (or a :meth:`wait` that triggers one); fully
 deterministic, the mode every test uses — and ``thread`` — a background
 worker drains the queue as it fills, with :meth:`wait` blocking on the
@@ -43,11 +43,6 @@ import numpy as np
 
 from ..api import PlanError, Workload, WorkloadError
 from ..api.session import SweepResult
-from ..config import (
-    SERVICE_MODES,
-    default_service_capacity,
-    default_service_mode,
-)
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import metrics_enabled, trace
 from .cache import ResultCache
@@ -55,7 +50,22 @@ from .jobs import Job
 from .packer import pack_jobs, price_plan
 from .pool import RankPool
 
-__all__ = ["SchedulerError", "SchedulerService"]
+__all__ = [
+    "DEFAULT_CAPACITY_FLOPS",
+    "SERVICE_MODES",
+    "SchedulerError",
+    "SchedulerService",
+]
+
+#: Execution modes of the scheduler: ``sync`` runs jobs inside explicit
+#: ``drain()`` calls (deterministic, the testing mode); ``thread`` drains
+#: the queue on a background worker.
+SERVICE_MODES = ("sync", "thread")
+
+#: Modeled-flop capacity of one rank pool: fits several Table-3-priced
+#: small workloads per pool while still splitting heavy mixed-tenant
+#: batches.
+DEFAULT_CAPACITY_FLOPS = 1e13
 
 #: queue-latency samples retained for percentile reporting — a bounded
 #: recent-window reservoir, so ``stats()`` never depends on the full job
@@ -89,20 +99,18 @@ class SchedulerService:
 
     def __init__(
         self,
-        capacity_flops: Optional[float] = None,
+        capacity_flops: float = DEFAULT_CAPACITY_FLOPS,
         cache: Optional[ResultCache] = None,
-        mode: Optional[str] = None,
+        mode: str = "sync",
         allow_oversize: bool = True,
         keep_arrays: bool = True,
     ):
-        self.capacity_flops = (
-            default_service_capacity() if capacity_flops is None else capacity_flops
-        )
+        self.capacity_flops = capacity_flops
         if self.capacity_flops <= 0:
             raise SchedulerError(
                 f"capacity_flops={self.capacity_flops} must be positive"
             )
-        self.mode = default_service_mode() if mode is None else mode
+        self.mode = mode
         if self.mode not in SERVICE_MODES:
             raise SchedulerError(
                 f"unknown scheduler mode {self.mode!r}; "
@@ -311,7 +319,10 @@ class SchedulerService:
         self._record_latency(job.queue_latency_s)
         result.service = self._service_block(job)
         job.result = result
-        self.cache.put(job.cache_key, result)
+        # an unconverged result is not the answer to the workload: serve
+        # it to this job only, so a resubmission runs again
+        if all(run.converged for run in result.runs):
+            self.cache.put(job.cache_key, result)
         job.transition("DONE")
         _metrics.add("service.jobs_done")
 

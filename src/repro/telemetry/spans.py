@@ -10,7 +10,7 @@ on.  The :func:`trace` context manager is the single user-facing probe:
         ...
 
 Everything is gated on the ``REPRO_TELEMETRY`` mode (``off``/``spans``/
-``full``; see :func:`repro.config.default_telemetry_mode`).  When
+``full``; the ``telemetry`` knob of :data:`repro.config.KNOBS`).  When
 tracing is off, :func:`trace` returns a shared no-op context — no span
 object, no dictionary, no lock — so instrumented hot paths stay within
 noise of the uninstrumented code.
@@ -30,7 +30,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..config import TELEMETRY_MODES, default_telemetry_mode
+from ..config import resolve
 
 __all__ = [
     "Span",
@@ -64,21 +64,15 @@ _mode_lock = threading.Lock()
 def configure(new_mode: Optional[str] = None) -> str:
     """Activate a telemetry mode, returning the previously active one.
 
-    ``None`` re-reads ``REPRO_TELEMETRY`` from the environment (an
-    explicitly set but unknown value raises, mirroring ``REPRO_ENGINE``).
+    ``None`` re-reads ``REPRO_TELEMETRY`` from the environment; unknown
+    modes raise :class:`ValueError`.
     Forked worker processes (``pipe`` transport ranks) inherit the
     configured mode at fork time.
     """
     global _MODE, _SPANS_ON, _METRICS_ON
-    if new_mode is None:
-        new_mode = default_telemetry_mode()
-    if new_mode not in TELEMETRY_MODES:
-        raise ValueError(
-            f"telemetry mode {new_mode!r} is not valid; "
-            f"expected one of {TELEMETRY_MODES}"
-        )
+    new_mode = resolve("telemetry", new_mode)
     with _mode_lock:
-        previous = _MODE if _MODE != "unset" else default_telemetry_mode()
+        previous = _MODE if _MODE != "unset" else resolve("telemetry")
         _MODE = new_mode
         _SPANS_ON = new_mode in ("spans", "full")
         _METRICS_ON = new_mode == "full"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,12 @@ from repro.autotune import (
     roofline_report,
     state_signature,
 )
+from repro.autotune.search import (
+    DEFAULT_BEAM_WIDTH,
+    DEFAULT_ESCAPE_DEPTH,
+    DEFAULT_MAX_MOVES,
+    DEFAULT_STRATEGY,
+)
 from repro.core.recipe import (
     SSE_BATCH_TEMPLATES,
     SSE_PIPELINE,
@@ -27,7 +34,6 @@ from repro.core.recipe import (
     VERIFY_DIMS,
     sse_move_library,
     sse_movement_report,
-    tuned_sse_pipeline,
     tuned_sse_search,
 )
 from repro.core.sse_sdfg import build_sse_sigma_sdfg
@@ -49,8 +55,18 @@ def restricted_library() -> MoveLibrary:
 
 
 @pytest.fixture(scope="module")
-def greedy_result():
-    return tuned_sse_search(_DIMS, library=restricted_library())
+def greedy_trace(tmp_path_factory):
+    """Where :func:`greedy_result` checkpoints its search."""
+    return tmp_path_factory.mktemp("autotune") / "greedy.json"
+
+
+@pytest.fixture(scope="module")
+def greedy_result(greedy_trace):
+    # The module's one restricted greedy search; the trace tests resume
+    # from copies of the trace it writes instead of searching again.
+    return tuned_sse_search(
+        _DIMS, library=restricted_library(), trace_path=greedy_trace
+    )
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +200,7 @@ class TestSearch:
         )
 
     def test_tuned_pipeline_is_compilable(self, greedy_result):
-        pipe = tuned_sse_pipeline(_DIMS, library=restricted_library())
-        compiled = pipe.compile(verify_dims=_DIMS)
+        compiled = greedy_result.pipeline.compile(verify_dims=_DIMS)
         assert set(compiled.verification) == {
             s.name for s in compiled.stages
         }
@@ -195,6 +210,11 @@ class TestSearch:
 
 
 class TestTrace:
+    @pytest.fixture
+    def path(self, greedy_trace, greedy_result, tmp_path):
+        """A private copy of the shared search's completed trace."""
+        return shutil.copy(greedy_trace, tmp_path / "trace.json")
+
     def _run(self, trace_path, **kwargs):
         return tuned_sse_search(
             _DIMS,
@@ -204,9 +224,8 @@ class TestTrace:
             **kwargs,
         )
 
-    def test_trace_round_trip_and_resume(self, tmp_path):
-        path = tmp_path / "trace.json"
-        first = self._run(path)
+    def test_trace_round_trip_and_resume(self, path, greedy_result):
+        first = greedy_result
         assert path.exists()
         trace = SearchTrace.load(path)
         assert trace.completed
@@ -218,9 +237,8 @@ class TestTrace:
         again = self._run(path)
         assert [m.key for m in again.moves] == [m.key for m in first.moves]
 
-    def test_truncated_trace_continues_search(self, tmp_path):
-        path = tmp_path / "trace.json"
-        first = self._run(path)
+    def test_truncated_trace_continues_search(self, path, greedy_result):
+        first = greedy_result
         trace = SearchTrace.load(path)
         trace.steps = trace.steps[: len(trace.steps) // 2]
         trace.completed = False
@@ -230,15 +248,11 @@ class TestTrace:
             m.key for m in first.moves
         ]
 
-    def test_mismatched_trace_raises(self, tmp_path):
-        path = tmp_path / "trace.json"
-        self._run(path)
+    def test_mismatched_trace_raises(self, path):
         with pytest.raises(AutotuneError, match="records"):
             self._run(path, strategy="beam")
 
-    def test_diverged_trace_raises(self, tmp_path):
-        path = tmp_path / "trace.json"
-        self._run(path)
+    def test_diverged_trace_raises(self, path):
         trace = SearchTrace.load(path)
         trace.steps[0]["signature"] = "0" * 16
         trace.completed = False
@@ -247,7 +261,7 @@ class TestTrace:
             self._run(path)
 
 
-# -- configuration knobs ------------------------------------------------------
+# -- configuration --------------------------------------------------------------
 
 
 class TestConfig:
@@ -255,34 +269,35 @@ class TestConfig:
         with pytest.raises(AutotuneError, match="not a valid"):
             SearchConfig(strategy="annealing").resolved()
 
-    def test_env_strategy_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_STRATEGY", "beam")
-        assert SearchConfig().resolved().strategy == "beam"
-
-    def test_env_invalid_strategy_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_STRATEGY", "nope")
-        with pytest.raises(ValueError, match="REPRO_AUTOTUNE_STRATEGY"):
-            SearchConfig().resolved()
-
     @pytest.mark.parametrize(
-        "var",
+        "field, value",
         [
-            "REPRO_AUTOTUNE_BEAM_WIDTH",
-            "REPRO_AUTOTUNE_MAX_MOVES",
-            "REPRO_AUTOTUNE_ESCAPE_DEPTH",
+            ("beam_width", 0),
+            ("beam_width", -1),
+            ("max_moves", 0),
+            ("max_moves", -3),
+            ("escape_depth", 0),
         ],
     )
-    def test_env_invalid_int_raises(self, monkeypatch, var):
-        monkeypatch.setenv(var, "zero")
-        with pytest.raises(ValueError, match=var):
-            SearchConfig().resolved()
+    def test_invalid_size_raises(self, field, value):
+        # explicit values are checked, never replaced by the default
+        with pytest.raises(AutotuneError, match=f"{field}={value}"):
+            SearchConfig(**{field: value}).resolved()
 
-    def test_env_ints_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_BEAM_WIDTH", "7")
-        monkeypatch.setenv("REPRO_AUTOTUNE_MAX_MOVES", "9")
-        monkeypatch.setenv("REPRO_AUTOTUNE_ESCAPE_DEPTH", "2")
+    def test_unset_fields_take_defaults(self):
         cfg = SearchConfig().resolved()
-        assert (cfg.beam_width, cfg.max_moves, cfg.escape_depth) == (7, 9, 2)
+        assert (
+            cfg.strategy, cfg.beam_width, cfg.max_moves, cfg.escape_depth
+        ) == (
+            DEFAULT_STRATEGY, DEFAULT_BEAM_WIDTH, DEFAULT_MAX_MOVES,
+            DEFAULT_ESCAPE_DEPTH,
+        )
+        cfg = SearchConfig(
+            strategy="beam", beam_width=7, max_moves=9, escape_depth=2
+        ).resolved()
+        assert (
+            cfg.strategy, cfg.beam_width, cfg.max_moves, cfg.escape_depth
+        ) == ("beam", 7, 9, 2)
 
     def test_max_moves_bounds_pipeline_depth(self):
         res = autotune(

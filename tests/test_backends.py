@@ -21,7 +21,6 @@ from repro.sdfg import (
     Memlet,
     Range,
     Tasklet,
-    default_backend,
     get_backend,
 )
 from repro.sdfg.backends.codegen import (
@@ -63,17 +62,16 @@ class TestRegistry:
 
     def test_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_SDFG_BACKEND", raising=False)
-        assert default_backend() == "numpy"
+        assert get_backend().name == "numpy"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SDFG_BACKEND", "interpreter")
-        assert default_backend() == "interpreter"
         assert get_backend().name == "interpreter"
 
     def test_invalid_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SDFG_BACKEND", "fortran")
-        with pytest.raises(BackendError, match="REPRO_SDFG_BACKEND"):
-            default_backend()
+        with pytest.raises(ValueError, match="REPRO_SDFG_BACKEND"):
+            get_backend()
 
     def test_pipeline_compile_rejects_unknown(self):
         with pytest.raises(BackendError):

@@ -1,12 +1,31 @@
-"""Simulation-parameter validation (Table 1)."""
+"""Simulation-parameter validation (Table 1) and the ``REPRO_*`` knob table."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.config import (
+    KNOBS,
     PAPER_STRUCTURE_4864,
     PAPER_STRUCTURE_10240,
     PARAMETER_RANGES,
     SimulationParameters,
+    resolve,
+)
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+#: settings that are constructor / SearchConfig arguments only: no code,
+#: benchmark or example set them through the environment
+_RETIRED_ENV = (
+    "REPRO_SERVICE_MODE",
+    "REPRO_SERVICE_CAPACITY",
+    "REPRO_SERVICE_CACHE",
+    "REPRO_AUTOTUNE_STRATEGY",
+    "REPRO_AUTOTUNE_BEAM_WIDTH",
+    "REPRO_AUTOTUNE_MAX_MOVES",
+    "REPRO_AUTOTUNE_ESCAPE_DEPTH",
 )
 
 
@@ -81,3 +100,62 @@ class TestDerived:
         assert PAPER_STRUCTURE_4864.NA == 4864
         assert PAPER_STRUCTURE_10240.NA == 10240
         assert PAPER_STRUCTURE_10240.Nkz == 21
+
+
+# -- the knob table ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("knob", list(KNOBS.values()), ids=list(KNOBS))
+def test_knob_resolution(knob, monkeypatch):
+    monkeypatch.delenv(knob.env, raising=False)
+    assert resolve(knob.name) == knob.default
+    choices = knob.valid()
+    assert knob.default in choices
+    other = [c for c in choices if c != knob.default][0]
+    monkeypatch.setenv(knob.env, f" {other.upper()} ")
+    assert resolve(knob.name) == other
+    assert resolve(knob.name, knob.default) == knob.default  # explicit wins
+    monkeypatch.setenv(knob.env, "bogus")
+    with pytest.raises(ValueError, match=knob.env) as exc:
+        resolve(knob.name)
+    assert str(choices) in str(exc.value)
+    with pytest.raises(ValueError, match=f"unknown {knob.name} 'bogus'"):
+        resolve(knob.name, "bogus")
+
+
+def test_registered_names_are_valid_choices(monkeypatch):
+    import repro.negf.kernels as kernels
+    import repro.sdfg.backends as backends
+
+    monkeypatch.setitem(kernels._REGISTRY, "custom", kernels.NumpyKernel)
+    monkeypatch.setitem(backends._REGISTRY, "custom", backends.NumpyBackend)
+    monkeypatch.setenv("REPRO_RGF_KERNEL", "custom")
+    monkeypatch.setenv("REPRO_SDFG_BACKEND", "custom")
+    assert isinstance(kernels.get_kernel(), kernels.NumpyKernel)
+    assert isinstance(backends.get_backend(), backends.NumpyBackend)
+
+
+def test_only_config_reads_repro_environment():
+    read = re.compile(r"(environ|getenv)[^\n]*REPRO_")
+    offenders = [
+        str(path.relative_to(_ROOT))
+        for path in sorted((_ROOT / "src" / "repro").rglob("*.py"))
+        if path.name != "config.py" or path.parent.name != "repro"
+        if read.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_readme_documents_the_knob_table():
+    readme = (_ROOT / "README.md").read_text()
+    for knob in KNOBS.values():
+        rows = [
+            line
+            for line in readme.splitlines()
+            if line.startswith(f"| `{knob.env}`")
+        ]
+        assert len(rows) == 1, knob.env
+        default_cell = rows[0].split("|")[3]
+        assert default_cell.strip() == f"`{knob.default}`"
+    for env in _RETIRED_ENV:
+        assert env not in readme

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import EXECUTION_BACKENDS, default_engine
+from repro.config import EXECUTION_BACKENDS
 from repro.negf import (
     SCBASettings,
     SCBASimulation,
@@ -224,19 +224,17 @@ class TestBackendEquivalence:
                 sim_factory(engine=name)
 
     def test_default_engine_valid(self):
-        assert default_engine() in EXECUTION_BACKENDS
         assert SCBASettings().engine in EXECUTION_BACKENDS
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "serial")
-        assert default_engine() == "serial"
         assert SCBASettings().engine == "serial"
 
     def test_env_override_invalid_raises(self, monkeypatch):
         for value in ("seriall", "multiprocess"):  # multiprocess: retired
             monkeypatch.setenv("REPRO_ENGINE", value)
             with pytest.raises(ValueError, match="REPRO_ENGINE") as exc:
-                default_engine()
+                SCBASettings()
             assert "'serial', 'batched'" in str(exc.value)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RGF_KERNELS, default_rgf_kernel
+from repro.config import RGF_KERNELS
 from repro.negf import (
     KernelError,
     RGFKernel,
@@ -64,18 +64,16 @@ class TestKernelRegistry:
 
     def test_default_kernel(self, monkeypatch):
         monkeypatch.delenv("REPRO_RGF_KERNEL", raising=False)
-        assert default_rgf_kernel() == "numpy"
         assert SCBASettings().rgf_kernel == "numpy"
+        assert isinstance(get_kernel(), NumpyKernel)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_RGF_KERNEL", "csrmm")
-        assert default_rgf_kernel() == "csrmm"
         assert SCBASettings().rgf_kernel == "csrmm"
+        assert isinstance(get_kernel(), CsrmmKernel)
 
     def test_env_override_invalid_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_RGF_KERNEL", "cublas")
-        with pytest.raises(ValueError, match="REPRO_RGF_KERNEL"):
-            default_rgf_kernel()
         with pytest.raises(ValueError, match="REPRO_RGF_KERNEL"):
             SCBASettings()
 

@@ -14,13 +14,10 @@ from repro.api import (
     SweepResult,
     Workload,
 )
-from repro.config import (
-    SERVICE_MODES,
-    default_service_cache_entries,
-    default_service_capacity,
-    default_service_mode,
-)
 from repro.service import (
+    DEFAULT_CACHE_ENTRIES,
+    DEFAULT_CAPACITY_FLOPS,
+    SERVICE_MODES,
     Job,
     JobError,
     PackingError,
@@ -147,6 +144,26 @@ class TestResultCache:
     def test_negative_entries_raise(self):
         with pytest.raises(ValueError, match="max_entries"):
             ResultCache(max_entries=-1)
+
+    def test_truncated_disk_entry_is_a_miss_and_reruns(self, tmp_path):
+        # Fault injection: an entry truncated the way a crash mid-write
+        # leaves it must read as a miss, not raise.
+        w = small_workload()
+        with sync_service(cache=ResultCache(directory=tmp_path)) as svc:
+            svc.wait(svc.submit(w))
+        (entry,) = tmp_path.glob("*.json")
+        assert not list(tmp_path.glob("*.tmp"))  # written via rename
+        entry.write_text(entry.read_text()[:40])
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get(w.cache_key()) is None
+        assert cache.stats()["corrupt"] == 1 and cache.stats()["misses"] == 1
+        assert not entry.exists()
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        with sync_service(cache=ResultCache(directory=tmp_path)) as svc:
+            job = svc.submit(w)
+            svc.drain()
+            assert job.state == "DONE"
+        assert ResultCache(directory=tmp_path).get(w.cache_key()) is not None
 
 
 # -- pricing and packing --------------------------------------------------------
@@ -333,6 +350,24 @@ class TestSchedulerService:
                 dup.result.currents_left - first.result.currents_left
             ).max() == 0.0
 
+    def test_unconverged_result_is_not_cached(self):
+        w = small_workload(
+            physics=PhysicsSpec(
+                transport="scba", mu_left=0.1, mu_right=-0.1, coupling=0.25,
+                mixing=0.6, max_iterations=2, tolerance=1e-14,
+            )
+        )
+        with sync_service() as svc:
+            first = svc.submit(w)
+            svc.drain()
+            assert first.state == "DONE"
+            assert not first.result.runs[0].converged
+            assert w.cache_key() not in svc.cache
+            again = svc.submit(w)
+            svc.drain()
+            assert again.state == "DONE"
+            assert svc.cache.stats()["hits"] == 0
+
     def test_repeat_traffic_across_drains_hits_cache(self):
         w = small_workload()
         with sync_service() as svc:
@@ -501,6 +536,11 @@ class TestSchedulerService:
         with pytest.raises(SchedulerError, match="unknown scheduler mode"):
             SchedulerService(mode="fiber")
 
+    @pytest.mark.parametrize("capacity", [0.0, -1.0])
+    def test_nonpositive_capacity_raises(self, capacity):
+        with pytest.raises(SchedulerError, match="must be positive"):
+            SchedulerService(capacity_flops=capacity)
+
     def test_threaded_mode_matches_sync(self):
         w = small_workload(sweeps=(SweepAxis("bias", (0.0, 0.2)),))
         with sync_service() as svc:
@@ -516,46 +556,15 @@ class TestSchedulerService:
         ).max() <= 1e-10
 
 
-# -- REPRO_SERVICE_* knobs ------------------------------------------------------
+# -- defaults -------------------------------------------------------------------
 
 
 class TestServiceConfig:
-    def test_defaults(self, monkeypatch):
-        for var in (
-            "REPRO_SERVICE_MODE", "REPRO_SERVICE_CAPACITY",
-            "REPRO_SERVICE_CACHE",
-        ):
-            monkeypatch.delenv(var, raising=False)
-        assert default_service_mode() == "sync"
-        assert default_service_capacity() == pytest.approx(1e13)
-        assert default_service_cache_entries() == 128
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_MODE", "thread")
-        monkeypatch.setenv("REPRO_SERVICE_CAPACITY", "2.5e9")
-        monkeypatch.setenv("REPRO_SERVICE_CACHE", "7")
-        assert default_service_mode() == "thread"
-        assert default_service_capacity() == pytest.approx(2.5e9)
-        assert default_service_cache_entries() == 7
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            ("REPRO_SERVICE_MODE", "fiber"),
-            ("REPRO_SERVICE_CAPACITY", "lots"),
-            ("REPRO_SERVICE_CAPACITY", "-1"),
-            ("REPRO_SERVICE_CACHE", "many"),
-            ("REPRO_SERVICE_CACHE", "-2"),
-        ],
-    )
-    def test_invalid_env_raises(self, monkeypatch, var, value):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=var):
-            {
-                "REPRO_SERVICE_MODE": default_service_mode,
-                "REPRO_SERVICE_CAPACITY": default_service_capacity,
-                "REPRO_SERVICE_CACHE": default_service_cache_entries,
-            }[var]()
+    def test_defaults(self):
+        with SchedulerService() as svc:
+            assert svc.mode == "sync"
+            assert svc.capacity_flops == DEFAULT_CAPACITY_FLOPS == 1e13
+            assert svc.cache.max_entries == DEFAULT_CACHE_ENTRIES == 128
 
     def test_modes_registry(self):
         assert SERVICE_MODES == ("sync", "thread")

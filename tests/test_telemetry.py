@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.config import default_telemetry_mode
 from repro.negf import SCBASettings, SCBASimulation
 from repro.telemetry import (
     MetricsRegistry,
@@ -33,6 +32,7 @@ from repro.telemetry import (
     get_registry,
     get_tracer,
     meter_transfer,
+    mode,
     scoped_span,
     telemetry_snapshot,
     timeit,
@@ -58,14 +58,13 @@ def _clean_telemetry():
 
 
 def test_telemetry_mode_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    assert default_telemetry_mode() == "off"
     monkeypatch.setenv("REPRO_TELEMETRY", "full")
-    assert default_telemetry_mode() == "full"
+    configure(None)
+    assert mode() == "full"
     monkeypatch.setenv("REPRO_TELEMETRY", "verbose")
     with pytest.raises(ValueError, match="REPRO_TELEMETRY"):
-        default_telemetry_mode()
-    with pytest.raises(ValueError, match="not valid"):
+        configure(None)
+    with pytest.raises(ValueError, match="unknown telemetry 'everything'"):
         configure("everything")
 
 
